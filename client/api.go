@@ -139,19 +139,14 @@ type ListResponse struct {
 }
 
 // IndexStats extends IndexInfo with serving counters
-// (GET /v1/indexes/{name}/stats). Queries counts every query answered
-// (single and batch rows); Batches counts SearchBatch executions on the hot
-// path, so Queries > Batches means the micro-batching coalescer merged
-// concurrent single-query requests.
+// (GET /v1/indexes/{name}/stats). Queries counts every query answered:
+// single queries, cache hits and batch rows.
 type IndexStats struct {
 	IndexInfo
-	Path             string `json:"path,omitempty"`
-	Queries          int64  `json:"queries"`
-	Batches          int64  `json:"batches"`
-	MaxBatch         int64  `json:"max_batch"`
-	BatchRequests    int64  `json:"batch_requests"`
-	ClusterRequests  int64  `json:"cluster_requests"`
-	CoalesceWindowNS int64  `json:"coalesce_window_ns"`
+	Path            string `json:"path,omitempty"`
+	Queries         int64  `json:"queries"`
+	BatchRequests   int64  `json:"batch_requests"`
+	ClusterRequests int64  `json:"cluster_requests"`
 
 	// Hot-path totals from the index itself: distance-kernel evaluations
 	// (the dominant per-query cost) and candidate expansions across every

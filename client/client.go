@@ -10,8 +10,7 @@
 // recall for scanning only the nprobe most promising shards.
 //
 // Stats returns the per-index serving counters (IndexStats): request-level
-// counts — queries, coalesced batches, explicit batch and cluster requests
-// — plus the index's own hot-path totals, distance_comps and
+// counts — queries, explicit batch and cluster requests — plus the index's own hot-path totals, distance_comps and
 // expanded_candidates, whose per-query averages make the search work the
 // early-termination rule bounds observable in production (summed across
 // shards for a sharded index).
@@ -289,9 +288,8 @@ func (c *Client) Stats(ctx context.Context, name string) (IndexStats, error) {
 }
 
 // Search returns the approximately closest topK samples to q, sorted by
-// ascending squared distance. On the server, concurrent single-query
-// searches are micro-batched through the index's SearchBatch. ef follows
-// the library defaulting (<=0 selects max(4·topK, 32)).
+// ascending squared distance. On the server, each single-query search
+// runs on its own, starting at once. ef follows the library defaulting (<=0 selects max(4·topK, 32)).
 func (c *Client) Search(ctx context.Context, name string, q []float32, topK, ef int) ([]Neighbor, error) {
 	return c.SearchNProbe(ctx, name, q, topK, ef, 0)
 }

@@ -1,11 +1,11 @@
 // Command gkserved serves persisted gkmeans indexes (.gkx files written by
 // gkmeans.SaveIndex or `gkmeans -index`) over HTTP: approximate
-// nearest-neighbour search — with concurrent single-query requests
-// micro-batched through SearchBatch — graph-supported clustering, index
-// listing/registration, per-endpoint metrics and health checking. Sharded
-// indexes (gkmeans.WithShards / `gkmeans -shards`) load and serve
-// transparently: searches fan out across the shards, /v1/indexes reports
-// the shard count, and only the clustering endpoint is refused for them.
+// nearest-neighbour search (single queries and explicit batches),
+// graph-supported clustering, index listing/registration, per-endpoint
+// metrics and health checking. Sharded indexes (gkmeans.WithShards /
+// `gkmeans -shards`) load and serve transparently: searches fan out across
+// the shards, /v1/indexes reports the shard count, and only the clustering
+// endpoint is refused for them.
 //
 // Served indexes are mutable: /insert appends vectors and /delete
 // tombstones rows. With -data DIR, every accepted write is fsynced to a
@@ -34,13 +34,12 @@
 //	curl -d '{"vectors":[[...]]}' localhost:8080/v1/indexes/sift/insert
 //	curl -d '{"ids":[17,42]}' localhost:8080/v1/indexes/sift/delete
 //	curl -d '{"name":"new","path":"new.gkx"}' localhost:8080/v1/indexes
-//	curl localhost:8080/debug/vars
 //	curl localhost:8080/metrics
 //
-// On SIGINT/SIGTERM the daemon drains: the health check flips to 503, open
-// micro-batches are flushed, in-flight requests finish (up to -drain), and
-// only then does the process exit. Buffered (unflushed) inserts are left in
-// the WAL and replayed on the next start.
+// On SIGINT/SIGTERM the daemon drains: the health check flips to 503, new
+// searches are refused, running searches still answer, in-flight requests
+// finish (up to -drain), and only then does the process exit. Buffered
+// (unflushed) inserts are left in the WAL and replayed on the next start.
 package main
 
 import (
@@ -58,6 +57,15 @@ import (
 
 	"gkmeans/internal/server"
 	"gkmeans/internal/store"
+)
+
+// Connection timeouts. A client must send its request headers within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so slow or abandoned connections (slowloris) cannot pin
+// server resources.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // indexFlags collects repeated -index name=path.gkx arguments.
@@ -78,8 +86,6 @@ func main() {
 	var indexes indexFlags
 	var (
 		listen   = flag.String("listen", ":8080", "address to serve on")
-		window   = flag.Duration("window", server.DefaultWindow, "micro-batch collection window (0 disables batching)")
-		maxBatch = flag.Int("max-batch", server.DefaultMaxBatch, "max single queries coalesced into one SearchBatch")
 		drain    = flag.Duration("drain", 15*time.Second, "shutdown grace period for in-flight requests")
 		dataDir  = flag.String("data", "", "directory for write-ahead logs and checkpoints (empty: mutations are volatile)")
 		memtable = flag.Int("memtable", server.DefaultMemtableThreshold, "buffered inserts that trigger a shard build")
@@ -95,8 +101,6 @@ func main() {
 	flag.Parse()
 
 	cfg := server.Config{
-		Window:            *window,
-		MaxBatch:          *maxBatch,
 		DataDir:           *dataDir,
 		MemtableThreshold: *memtable,
 		Policy:            store.Policy{TombRatio: *tombs, MaxFragments: *frags},
@@ -115,9 +119,6 @@ func main() {
 func run(logger *log.Logger, listen string, cfg server.Config,
 	drain time.Duration, indexes indexFlags) error {
 
-	if cfg.Window <= 0 {
-		cfg.Window = -1 // "-window 0" means no batching, not the server default
-	}
 	cfg.Logger = logger
 	srv := server.New(cfg)
 	for _, ix := range indexes {
@@ -129,7 +130,7 @@ func run(logger *log.Logger, listen string, cfg server.Config,
 		logger.Printf("no -index given; starting empty (register via POST /v1/indexes)")
 	}
 
-	hs := &http.Server{Addr: listen, Handler: srv.Handler()}
+	hs := newHTTPServer(listen, srv.Handler())
 	errc := make(chan error, 1)
 	go func() {
 		logger.Printf("listening on %s", listen)
@@ -156,4 +157,15 @@ func run(logger *log.Logger, listen string, cfg server.Config,
 	}
 	logger.Printf("drained, exiting")
 	return nil
+}
+
+// newHTTPServer builds the daemon's listener-side server with the
+// connection timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -199,19 +199,17 @@
 // A persisted index can be served over HTTP without linking this library:
 // the gkserved daemon (cmd/gkserved) loads .gkx files into a named
 // registry and exposes search, insert, delete, clustering, index listing,
-// hot registration, stats, /debug/vars and Prometheus /metrics as a JSON
-// API. Its hot path micro-batches: concurrent single-query searches are
-// coalesced for a short window and answered through one SearchBatch call,
-// so callers share the worker pool. On SIGTERM it drains in-flight work
-// before exiting.
+// hot registration, stats and Prometheus /metrics as a JSON API. Every
+// single-query search starts at once and runs on its own, so concurrent
+// callers use every core. On SIGTERM it drains in-flight work before exiting.
 //
 //	gkserved -listen :8080 -index sift=sift.gkx -data /var/lib/gkserved \
 //	    -timeout 2s -max-inflight 256 -cache 65536
 //
 // The read path is hardened for production traffic: -timeout bounds
 // every search (clients tighten it per request via their context
-// deadline; expiry answers 504 without disturbing the rest of the
-// micro-batch), -max-inflight sheds excess concurrency with 429 +
+// deadline; expiry answers 504 at once, even while the search still
+// runs, without disturbing other searches), -max-inflight sheds excess concurrency with 429 +
 // Retry-After before reading the body, and -cache adds a per-index LRU
 // of single-query results invalidated through the index epoch — a hit is
 // bit-identical to the cold search and can never cross a mutation. The

@@ -2,11 +2,9 @@
 //
 // The example builds an index over SIFT-like descriptors, persists it,
 // starts the gkserved server on a random local port and talks to it with
-// the typed Go client: health check, index listing, micro-batched
-// single-query searches fired from many goroutines, one explicit batch
-// search, the clustering refusal a sharded index answers with, and the
-// serving stats that show how many SearchBatch executions the coalescer
-// compressed the query stream into.
+// the typed Go client: health check, index listing, single-query searches
+// fired from many goroutines, one explicit batch search, the clustering
+// refusal a sharded index answers with, and the serving stats.
 //
 // Run with: go run ./examples/serve
 package main
@@ -57,7 +55,7 @@ func main() {
 
 	// Start gkserved in-process on a random port. `cmd/gkserved` wraps
 	// exactly this server; -index sift=sift.gkx replaces RegisterFile.
-	srv := server.New(server.Config{Window: 2 * time.Millisecond, MaxBatch: 16})
+	srv := server.New(server.Config{})
 	if err := srv.RegisterFile("sift", path); err != nil {
 		log.Fatal(err)
 	}
@@ -79,8 +77,8 @@ func main() {
 	}
 	fmt.Printf("serving: %+v\n", infos)
 
-	// 64 goroutines of single-query traffic: the server coalesces them
-	// into shared SearchBatch calls.
+	// 64 goroutines of single-query traffic, each query its own search
+	// fanned out across the shards.
 	var wg sync.WaitGroup
 	start := time.Now()
 	for g := 0; g < 64; g++ {
@@ -99,7 +97,7 @@ func main() {
 	fmt.Printf("256 concurrent single-query searches in %v\n",
 		time.Since(start).Round(time.Millisecond))
 
-	// One explicit batch search (bypasses the coalescer).
+	// One explicit batch search: 32 queries in one SearchBatch call.
 	rows := make([][]float32, 32)
 	for i := range rows {
 		rows[i] = queries.Row(i)
@@ -125,8 +123,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("coalescer: %d queries served by %d SearchBatch calls (largest batch %d)\n",
-		stats.Queries-32, stats.Batches, stats.MaxBatch) // -32: the explicit batch bypasses it
+	fmt.Printf("stats: %d queries answered (%d batch request), %.0f distance computations per query\n",
+		stats.Queries, stats.BatchRequests, float64(stats.DistanceComps)/float64(stats.Queries))
 
 	// Drain and stop, as gkserved does on SIGTERM. Closing the client
 	// first releases its kept-alive connections so the drain is instant.

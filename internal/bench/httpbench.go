@@ -21,8 +21,8 @@ import (
 // The HTTP benchmark harness drives a running gkserved daemon through the
 // Go client at a configurable concurrency and records end-to-end request
 // latency — the serving numbers the in-process harness (searchbench.go)
-// cannot see: JSON round-trips, the micro-batching coalescer, load
-// shedding and the epoch-invalidated query cache. The workload repeats a
+// cannot see: JSON round-trips, load shedding and the epoch-invalidated
+// query cache. The workload repeats a
 // bounded pool of distinct queries, so a cache-enabled server answers the
 // tail of the run from its cache and the report shows the hit-path
 // latency next to the cold path.
@@ -193,10 +193,7 @@ func RunHTTPCachePair(cfg HTTPBenchConfig, n, cacheSize int,
 func servePass(idx *gkmeans.Index, label string, cacheSize int, cfg HTTPBenchConfig,
 	logf func(format string, args ...any)) (*HTTPRun, error) {
 
-	srv := server.New(server.Config{
-		Window:    -1, // no micro-batching: measure the search/cache paths alone
-		CacheSize: cacheSize,
-	})
+	srv := server.New(server.Config{CacheSize: cacheSize})
 	if err := srv.RegisterIndex(cfg.Index, idx); err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ func TestRunHTTPCachePairSmoke(t *testing.T) {
 
 // Live mode drives an external daemon; here, a loopback server stands in.
 func TestRunHTTPBenchLive(t *testing.T) {
-	srv := server.New(server.Config{Window: -1, CacheSize: 128})
+	srv := server.New(server.Config{CacheSize: 128})
 	all := dataset.SIFTLike(300, 4)
 	idx := buildIndexForBench(t, all)
 	if err := srv.RegisterIndex("live", idx); err != nil {

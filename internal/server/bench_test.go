@@ -4,7 +4,6 @@ import (
 	"context"
 	"gkmeans"
 	"testing"
-	"time"
 )
 
 // BenchmarkDirectSearch is the baseline: goroutines hitting Index.Search
@@ -21,11 +20,12 @@ func BenchmarkDirectSearch(b *testing.B) {
 	})
 }
 
-// BenchmarkCoalescedSearch sends the same traffic through the micro-batch
-// coalescer, the server's hot path for concurrent single-query requests.
+// BenchmarkCoalescedSearch sends the same traffic through the coalescer,
+// the server's hot path for concurrent single-query requests: the gap to
+// BenchmarkDirectSearch is its per-query goroutine and counters.
 func BenchmarkCoalescedSearch(b *testing.B) {
 	idx, queries := sharedIndex(b)
-	c := newCoalescer(func() *gkmeans.Index { return idx }, time.Millisecond, 32)
+	c := newCoalescer(func() *gkmeans.Index { return idx })
 	defer c.Close()
 	ctx := context.Background()
 	b.ResetTimer()

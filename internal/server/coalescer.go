@@ -3,9 +3,7 @@ package server
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"gkmeans"
 )
@@ -13,208 +11,56 @@ import (
 // ErrDraining is returned for work submitted after shutdown has begun.
 var ErrDraining = errors.New("server: draining, not accepting new work")
 
-// coalescer micro-batches concurrent single-query searches against one
-// index. Each incoming query joins the open batch for its (topK, ef,
-// nprobe) parameters; a batch is executed — one Index.SearchBatch call
-// fanning the queries across the worker pool — as soon as it reaches
-// maxBatch queries or its collection window expires, whichever comes first.
-// Under load this turns q concurrent HTTP requests into ~q/maxBatch batched
-// searches that share workers instead of contending query by query; an idle
-// server pays at most the window in added latency.
-//
-// Results are identical to calling Index.SearchNProbe directly: batches are
-// grouped by exact (topK, ef, nprobe), and SearchBatchNProbe resolves those
-// parameters the same way SearchNProbe does.
+// coalescer runs the single-query searches of one index: it refuses new
+// queries once closed, counts the ones it accepts, and lets a caller give
+// up when its context ends. Every query runs as its own Index.SearchNProbe
+// call, which keeps a query's parallel shard fan-out and lets concurrent
+// queries use every core. Merging concurrent queries into SearchBatch calls
+// was measured, on sharded and monolithic indexes from 1 to 32 concurrent
+// callers, and was never faster, so nothing is merged; the
+// gkserved_coalesced_batches_total metric counts each search as a batch of
+// one.
 //
 // The coalescer holds a provider function, not an index value: the serving
-// layer swaps in new index epochs (inserts, deletes, compaction) while
-// batches are open, and a batch resolves the index at execution time so it
-// always runs against the newest epoch.
+// layer swaps in new index epochs (inserts, deletes, compaction), and a
+// search resolves the index when it starts, so it always searches the
+// newest epoch.
 type coalescer struct {
-	get      func() *gkmeans.Index
-	window   time.Duration
-	maxBatch int
-
-	mu     sync.Mutex
-	closed bool
-	groups map[searchKey]*batchGroup
-
-	queries  atomic.Int64 // single queries accepted
-	batches  atomic.Int64 // SearchBatch executions
-	maxFlush atomic.Int64 // largest batch executed
+	get     func() *gkmeans.Index
+	closed  atomic.Bool
+	queries atomic.Int64 // single queries accepted, each run as one search
 }
 
-// searchKey groups queries that can share one SearchBatch call.
-type searchKey struct{ topK, ef, nprobe int }
-
-// batchGroup is one open batch: the collected queries, one result channel
-// per caller, and each caller's context so a query whose deadline already
-// expired can be dropped at execution time. flushed guards against the
-// double flush that the size trigger and the window timer could otherwise
-// race into.
-type batchGroup struct {
-	key     searchKey
-	queries [][]float32
-	ctxs    []context.Context
-	out     []chan []gkmeans.Neighbor
-	timer   *time.Timer
-	flushed bool
+// newCoalescer wires a coalescer to an index provider.
+func newCoalescer(get func() *gkmeans.Index) *coalescer {
+	return &coalescer{get: get}
 }
 
-// newCoalescer wires a coalescer to an index provider. window <= 0
-// disables batching (every query runs alone); maxBatch <= 1 likewise.
-func newCoalescer(get func() *gkmeans.Index, window time.Duration, maxBatch int) *coalescer {
-	return &coalescer{
-		get:      get,
-		window:   window,
-		maxBatch: maxBatch,
-		groups:   make(map[searchKey]*batchGroup),
-	}
-}
-
-// Search answers one query through the micro-batcher. It blocks until the
-// query's batch has executed or ctx is done; a query whose caller gave up
-// still executes with its batch (the result is simply dropped).
+// Search answers one query. It returns when the search ends or ctx is
+// done, whichever is first. A search cannot be interrupted, so it runs on
+// its own goroutine: a caller whose deadline passes is answered at once,
+// and the search finishes in the background with its result dropped.
 func (c *coalescer) Search(ctx context.Context, q []float32, topK, ef, nprobe int) ([]gkmeans.Neighbor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if c.window <= 0 || c.maxBatch <= 1 {
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return nil, ErrDraining
-		}
-		c.queries.Add(1)
-		c.batches.Add(1)
-		c.bumpMaxFlush(1)
-		return c.get().SearchNProbe(q, topK, ef, nprobe), nil
-	}
-
-	key := searchKey{topK: topK, ef: ef, nprobe: nprobe}
-	ch := make(chan []gkmeans.Neighbor, 1) // buffered: delivery never blocks on a gone caller
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return nil, ErrDraining
 	}
 	c.queries.Add(1)
-	g, ok := c.groups[key]
-	if !ok {
-		g = &batchGroup{key: key}
-		g.timer = time.AfterFunc(c.window, func() { c.flush(g) })
-		c.groups[key] = g
-	}
-	g.queries = append(g.queries, q)
-	g.ctxs = append(g.ctxs, ctx)
-	g.out = append(g.out, ch)
-	full := len(g.queries) >= c.maxBatch
-	if full {
-		c.detachLocked(g)
-	}
-	c.mu.Unlock()
-
-	if full {
-		// The filling goroutine runs the batch itself: natural backpressure,
-		// and no handoff latency for the batch-mates waiting on channels.
-		c.run(g)
-	}
-
+	out := make(chan []gkmeans.Neighbor, 1) // buffered: the send never blocks on a caller that gave up
+	go func() { out <- c.get().SearchNProbe(q, topK, ef, nprobe) }()
 	select {
-	case res := <-ch:
+	case res := <-out:
 		return res, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-// detachLocked removes g from the open set and disarms its timer. The
-// caller holds c.mu; after detach, the caller owns g exclusively.
-func (c *coalescer) detachLocked(g *batchGroup) {
-	g.flushed = true
-	g.timer.Stop()
-	delete(c.groups, g.key)
-}
+// Close stops accepting new queries, the drain step of graceful shutdown.
+// Searches already running finish and answer their callers. Idempotent.
+func (c *coalescer) Close() { c.closed.Store(true) }
 
-// flush is the window-timer path: claim the group if the size trigger has
-// not already, then execute it.
-func (c *coalescer) flush(g *batchGroup) {
-	c.mu.Lock()
-	if g.flushed {
-		c.mu.Unlock()
-		return
-	}
-	c.detachLocked(g)
-	c.mu.Unlock()
-	c.run(g)
-}
-
-// run executes one claimed batch and delivers each caller its result list.
-// Queries whose caller's context is already done — deadline expired or
-// connection gone while the batch collected — are dropped before the
-// SearchBatch call: one timed-out request must not cost its batch-mates
-// any work, let alone poison their results. Per-query results are
-// independent (SearchBatch is query-parallel, not query-coupled), so the
-// survivors' neighbours are bit-identical with or without the dropped
-// rows.
-func (c *coalescer) run(g *batchGroup) {
-	live := g.queries[:0]
-	out := g.out[:0]
-	for i, ctx := range g.ctxs {
-		if ctx.Err() != nil {
-			continue // caller is gone; its buffered channel just gets no send
-		}
-		live = append(live, g.queries[i])
-		out = append(out, g.out[i])
-	}
-	if len(live) == 0 {
-		return // every caller timed out while the batch collected
-	}
-	c.batches.Add(1)
-	c.bumpMaxFlush(int64(len(live)))
-	m := gkmeans.FromRows(live)
-	res := c.get().SearchBatchNProbe(m, g.key.topK, g.key.ef, g.key.nprobe)
-	for i, ch := range out {
-		ch <- res[i]
-	}
-}
-
-func (c *coalescer) bumpMaxFlush(n int64) {
-	for {
-		cur := c.maxFlush.Load()
-		if n <= cur || c.maxFlush.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Close stops accepting new queries and synchronously executes every open
-// batch, so callers already waiting get their results — the drain step of
-// graceful shutdown.
-func (c *coalescer) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	pending := make([]*batchGroup, 0, len(c.groups))
-	for _, g := range c.groups {
-		pending = append(pending, g)
-	}
-	for _, g := range pending {
-		c.detachLocked(g)
-	}
-	c.mu.Unlock()
-	for _, g := range pending {
-		c.run(g)
-	}
-}
-
-// Stats returns the counters: total queries accepted, batches executed and
-// the largest batch.
-func (c *coalescer) Stats() (queries, batches, maxBatch int64) {
-	return c.queries.Load(), c.batches.Load(), c.maxFlush.Load()
-}
+// Queries returns how many queries the coalescer has accepted.
+func (c *coalescer) Queries() int64 { return c.queries.Load() }

@@ -101,7 +101,7 @@ func cacheServer(t *testing.T, workers, cacheSize int) (*Server, *gkmeans.Matrix
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Window: -1, CacheSize: cacheSize})
+	s := New(Config{CacheSize: cacheSize})
 	if err := s.RegisterIndex("sift", idx); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCacheEpochInvalidationRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Window: -1, CacheSize: 1024, MemtableThreshold: 4})
+	s := New(Config{CacheSize: 1024, MemtableThreshold: 4})
 	if err := s.RegisterIndex("mut", idx); err != nil {
 		t.Fatal(err)
 	}
@@ -268,20 +268,21 @@ func httpRequest(s *Server, method, path, body string) httpResult {
 	return httpResult{code: w.Code, body: w.Body.String()}
 }
 
-// A request whose deadline expires while it waits in the coalescer window
-// is answered 504 — and must not poison its batch: members with time left
-// still get answers identical to a direct search.
+// A request whose deadline passes while its search runs is answered 504 at
+// once, without waiting for the search, and must not poison the searches
+// running beside it: they still get answers identical to a direct search.
 func TestSearchDeadline504WithoutPoisoningBatch(t *testing.T) {
 	idx, queries := sharedIndex(t)
-	s := New(Config{Window: 40 * time.Millisecond, MaxBatch: 8})
+	s := New(Config{})
 	if err := s.RegisterIndex("sift", idx); err != nil {
 		t.Fatal(err)
 	}
-
-	const survivors = 4
+	// Every search is held running until release.
+	h := holdEntry(t, s, "sift")
+	const others = 4
 	var wg sync.WaitGroup
-	results := make([]httpResult, survivors+1)
-	for i := 0; i < survivors; i++ {
+	results := make([]httpResult, others)
+	for i := 0; i < others; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -289,35 +290,34 @@ func TestSearchDeadline504WithoutPoisoningBatch(t *testing.T) {
 				searchBody(queries.Row(i), 5, 64))
 		}(i)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// 1ms expires inside the 40ms window, long before the batch runs.
-		results[survivors] = httpRequest(s, "POST", "/v1/indexes/sift/search",
-			searchBodyFull(t, client.SearchRequest{Query: queries.Row(survivors), TopK: 5, Ef: 64, TimeoutMS: 1}))
-	}()
+	h.awaitRunning(t, others)
+
+	// 1ms expires while this search is held, so its 504 cannot have
+	// waited for the search to end.
+	expired := httpRequest(s, "POST", "/v1/indexes/sift/search",
+		searchBodyFull(t, client.SearchRequest{Query: queries.Row(others), TopK: 5, Ef: 64, TimeoutMS: 1}))
+	if expired.code != http.StatusGatewayTimeout {
+		t.Fatalf("expired request: status %d, want 504 (%s)", expired.code, expired.body)
+	}
+	h.release()
 	wg.Wait()
 
-	if results[survivors].code != http.StatusGatewayTimeout {
-		t.Fatalf("expired request: status %d, want 504 (%s)",
-			results[survivors].code, results[survivors].body)
-	}
-	for i := 0; i < survivors; i++ {
+	for i := 0; i < others; i++ {
 		if results[i].code != http.StatusOK {
-			t.Fatalf("batch-mate %d: status %d: %s", i, results[i].code, results[i].body)
+			t.Fatalf("concurrent search %d: status %d: %s", i, results[i].code, results[i].body)
 		}
 		var out client.SearchResponse
 		if err := json.Unmarshal([]byte(results[i].body), &out); err != nil {
 			t.Fatal(err)
 		}
-		want := idx.Search(queries.Row(i), 5, 64)
+		want := idx.SearchNProbe(queries.Row(i), 5, 64, 0)
 		got := out.Results[0]
 		if len(got) != len(want) {
-			t.Fatalf("batch-mate %d: %d results, want %d", i, len(got), len(want))
+			t.Fatalf("concurrent search %d: %d results, want %d", i, len(got), len(want))
 		}
 		for j := range want {
 			if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
-				t.Fatalf("batch-mate %d result %d: got %+v want %+v", i, j, got[j], want[j])
+				t.Fatalf("concurrent search %d result %d: got %+v want %+v", i, j, got[j], want[j])
 			}
 		}
 	}
@@ -351,7 +351,7 @@ func TestBatchSearchDeadline504(t *testing.T) {
 
 func TestLimiterSheds429WithRetryAfter(t *testing.T) {
 	idx, queries := sharedIndex(t)
-	s := New(Config{Window: -1, MaxInFlight: 1, RetryAfter: 3 * time.Second})
+	s := New(Config{MaxInFlight: 1, RetryAfter: 3 * time.Second})
 	if err := s.RegisterIndex("sift", idx); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"gkmeans"
 	"gkmeans/client"
@@ -106,7 +105,7 @@ func durableScenario(t *testing.T, workers int) [][]client.Neighbor {
 		t.Fatal(err)
 	}
 	bound := int32(idx.N())
-	cfg := Config{Window: -1, DataDir: filepath.Join(dir, "state"), MemtableThreshold: 4}
+	cfg := Config{DataDir: filepath.Join(dir, "state"), MemtableThreshold: 4}
 
 	s1 := New(cfg)
 	if err := s1.RegisterFile(name, orig); err != nil {
@@ -234,7 +233,7 @@ func TestServerCompactionPreservesSearchResults(t *testing.T) {
 	if err := gkmeans.SaveIndex(orig, idx); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Window: -1, DataDir: filepath.Join(dir, "state"), MemtableThreshold: 4}
+	cfg := Config{DataDir: filepath.Join(dir, "state"), MemtableThreshold: 4}
 	s := New(cfg)
 	if err := s.RegisterFile(name, orig); err != nil {
 		t.Fatal(err)
@@ -318,7 +317,7 @@ func TestServerCompactionPreservesSearchResults(t *testing.T) {
 func TestServerHotSwapUnderSearchLoad(t *testing.T) {
 	const name = "swap"
 	idx, queries := sharedIndex(t)
-	s := New(Config{Window: time.Millisecond, MaxBatch: 8, MemtableThreshold: 2})
+	s := New(Config{MemtableThreshold: 2})
 	if err := s.RegisterIndex(name, idx); err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +448,7 @@ func TestServerInsertOnClusteredIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Window: -1})
+	s := New(Config{})
 	if err := s.RegisterIndex("clustered", idx); err != nil {
 		t.Fatal(err)
 	}

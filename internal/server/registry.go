@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gkmeans"
 	"gkmeans/client"
@@ -63,10 +62,10 @@ type entry struct {
 }
 
 // newEntry wires an entry around its initial index. The coalescer takes
-// the provider function, not the index value, so in-flight micro-batches
-// always run against the newest epoch; the query cache (nil when disabled)
-// is pinned to that epoch sequence.
-func newEntry(name, path string, idx *gkmeans.Index, window time.Duration, maxBatch, cacheSize int) *entry {
+// the provider function, not the index value, so every search runs
+// against the newest epoch; the query cache (nil when disabled) is pinned
+// to that epoch sequence.
+func newEntry(name, path string, idx *gkmeans.Index, cacheSize int) *entry {
 	e := &entry{
 		name:   name,
 		path:   path,
@@ -75,7 +74,7 @@ func newEntry(name, path string, idx *gkmeans.Index, window time.Duration, maxBa
 		memDel: make(map[int32]bool),
 	}
 	e.cur.Swap(idx)
-	e.coal = newCoalescer(e.index, window, maxBatch)
+	e.coal = newCoalescer(e.index)
 	return e
 }
 
@@ -113,19 +112,15 @@ func (e *entry) info() client.IndexInfo {
 // stats snapshots the entry's serving counters, including the index's own
 // hot-path totals so operators can see the per-query search work (distance
 // computations, candidate expansions) the early-termination rule bounds.
-func (e *entry) stats(window time.Duration) client.IndexStats {
-	queries, batches, maxBatch := e.coal.Stats()
+func (e *entry) stats() client.IndexStats {
 	hot := e.index().SearchStats()
 	hits, misses, evictions := e.cache.counters()
 	return client.IndexStats{
 		IndexInfo:          e.info(),
 		Path:               e.path,
-		Queries:            queries + e.batchQueries.Load() + hits,
-		Batches:            batches,
-		MaxBatch:           maxBatch,
+		Queries:            e.coal.Queries() + e.batchQueries.Load() + hits,
 		BatchRequests:      e.batchRequests.Load(),
 		ClusterRequests:    e.clusterRequests.Load(),
-		CoalesceWindowNS:   int64(window),
 		DistanceComps:      hot.DistanceComps,
 		ExpandedCandidates: hot.ExpandedCandidates,
 		ShardsProbed:       hot.ShardsProbed,
@@ -189,9 +184,10 @@ func (r *registry) list() []*entry {
 	return out
 }
 
-// closeAll drains every coalescer and closes the write-ahead logs; part of
-// graceful shutdown. Buffered (unflushed) rows are not built into shards —
-// the WAL already holds them, and the next startup replays them.
+// closeAll closes every coalescer to new queries (running searches still
+// answer) and closes the write-ahead logs; part of graceful shutdown.
+// Buffered (unflushed) rows are not built into shards — the WAL already
+// holds them, and the next startup replays them.
 func (r *registry) closeAll() {
 	for _, e := range r.list() {
 		e.coal.Close()

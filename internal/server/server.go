@@ -1,15 +1,13 @@
 // Package server implements gkserved's HTTP serving layer: a registry of
-// named gkmeans indexes served over a /v1 JSON API, with micro-batched
-// single-query search (concurrent requests coalesce into SearchBatch calls
-// that share the worker pool), graph-supported clustering, hot index
-// registration, instance-scoped metrics (/debug/vars JSON and Prometheus
-// text format at /metrics) and graceful drain.
+// named gkmeans indexes served over a /v1 JSON API: single-query and batch
+// search, graph-supported clustering, hot index registration,
+// instance-scoped Prometheus metrics at /metrics and graceful drain.
 //
 // The read path is hardened for production traffic: every search passes
 // deadline → limiter → cache → coalescer → fan-out. Per-request deadlines
 // (Config.RequestTimeout, tightened per request by timeout_ms) answer 504
-// when the time budget expires, without costing a coalesced batch its
-// other members; the concurrency limiter (Config.MaxInFlight) sheds excess
+// when the time budget expires, without holding up other searches; the
+// concurrency limiter (Config.MaxInFlight) sheds excess
 // load with 429 + Retry-After before queueing collapses tail latency; and
 // the per-index query cache (Config.CacheSize) serves repeated single
 // queries bit-identically to a cold search, keyed by (query bytes, topK,
@@ -48,11 +46,8 @@ import (
 	"gkmeans/internal/wal"
 )
 
-// Defaults for the micro-batching coalescer, the write path and the
-// hardening knobs; see Config.
+// Defaults for the write path and the hardening knobs; see Config.
 const (
-	DefaultWindow            = time.Millisecond
-	DefaultMaxBatch          = 32
 	DefaultMemtableThreshold = 256
 	// DefaultRetryAfter is the Retry-After hint sent with a 429 when the
 	// concurrency limiter sheds a request.
@@ -65,13 +60,6 @@ const maxBodyBytes = 64 << 20
 
 // Config tunes a Server. The zero value serves with the defaults.
 type Config struct {
-	// Window is how long the coalescer holds the first single-query search
-	// of a batch while collecting company; 0 selects DefaultWindow, and a
-	// negative Window (or MaxBatch 1) disables batching entirely.
-	Window time.Duration
-	// MaxBatch caps how many single queries share one SearchBatch call;
-	// 0 selects DefaultMaxBatch.
-	MaxBatch int
 	// DataDir makes mutations durable: each index keeps a write-ahead log
 	// at DataDir/<name>.wal (fsynced before an insert or delete is
 	// acknowledged, replayed on the next registration of the same name) and
@@ -92,8 +80,8 @@ type Config struct {
 	CompactInterval time.Duration
 
 	// RequestTimeout is the server-wide deadline for search and cluster
-	// requests: work still queued or running when it expires is answered
-	// with 504. A request can only tighten it (SearchRequest.TimeoutMS),
+	// requests: a search or clustering job still running when it expires
+	// is answered with 504. A request can only tighten it (SearchRequest.TimeoutMS),
 	// never extend it. 0 disables the server-wide deadline.
 	RequestTimeout time.Duration
 	// MaxInFlight caps concurrently admitted search and cluster requests;
@@ -129,12 +117,6 @@ type Server struct {
 
 // New builds a Server with no indexes registered.
 func New(cfg Config) *Server {
-	if cfg.Window == 0 {
-		cfg.Window = DefaultWindow
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
 	if cfg.MemtableThreshold == 0 {
 		cfg.MemtableThreshold = DefaultMemtableThreshold
 	}
@@ -155,7 +137,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/indexes/{name}/insert", s.met.instrument("insert", s.handleInsert))
 	s.mux.HandleFunc("POST /v1/indexes/{name}/delete", s.met.instrument("delete", s.handleDelete))
 	s.mux.HandleFunc("POST /v1/indexes/{name}/cluster", s.met.instrument("cluster", s.handleCluster))
-	s.mux.HandleFunc("GET /debug/vars", s.met.instrument("debug_vars", s.met.serveVars))
 	s.mux.HandleFunc("GET /metrics", s.met.instrument("metrics", s.serveMetrics))
 	if cfg.CompactInterval > 0 {
 		go s.compactLoop()
@@ -188,7 +169,7 @@ func (s *Server) registerIndex(name, path string, idx *gkmeans.Index) error {
 	if !nameRE.MatchString(name) {
 		return fmt.Errorf("invalid index name %q", name)
 	}
-	e := newEntry(name, path, idx, s.cfg.Window, s.cfg.MaxBatch, s.cfg.CacheSize)
+	e := newEntry(name, path, idx, s.cfg.CacheSize)
 	e.threshold = s.cfg.MemtableThreshold
 	if s.cfg.DataDir != "" {
 		if err := s.setupDurability(e); err != nil {
@@ -257,7 +238,7 @@ func fileExists(path string) bool {
 
 // BeginShutdown moves the server into draining: /healthz flips to 503 so
 // load balancers stop routing here, new searches are refused with 503, and
-// every open micro-batch is executed so waiting callers get their results.
+// searches already running still answer their callers.
 // In-flight requests run to completion — pair it with http.Server.Shutdown,
 // which drains connections. Idempotent.
 func (s *Server) BeginShutdown() {
@@ -267,7 +248,7 @@ func (s *Server) BeginShutdown() {
 	default:
 	}
 	close(s.draining)
-	s.logf("draining: flushing open batches, refusing new work")
+	s.logf("draining: refusing new work, finishing running searches")
 	s.reg.closeAll()
 }
 
@@ -382,7 +363,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, e.stats(s.cfg.Window))
+	writeJSON(w, e.stats())
 }
 
 // searchContext derives the effective deadline for one search or cluster

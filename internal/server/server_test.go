@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"gkmeans"
 	"gkmeans/client"
@@ -22,7 +21,7 @@ import (
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
 	idx, _ := sharedIndex(t)
-	s := New(Config{Window: time.Millisecond, MaxBatch: 8})
+	s := New(Config{})
 	if err := s.RegisterIndex("sift", idx); err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +196,8 @@ func TestServerListAndStats(t *testing.T) {
 	if w := call(t, s, "GET", "/v1/indexes/sift/stats", "", &stats); w.Code != 200 {
 		t.Fatalf("stats: %d %s", w.Code, w.Body.String())
 	}
-	if stats.Name != "sift" || stats.Queries < 1 || stats.Batches < 1 {
+	if stats.Name != "sift" || stats.Queries < 1 {
 		t.Fatalf("stats = %+v", stats)
-	}
-	if stats.CoalesceWindowNS != int64(time.Millisecond) {
-		t.Fatalf("stats window %d, want %d", stats.CoalesceWindowNS, time.Millisecond)
 	}
 	// The index's hot-path totals flow through: at least one search ran, so
 	// work counters are live and expansions never exceed distance evals.
@@ -304,8 +300,8 @@ func TestServerShutdownDrains(t *testing.T) {
 	if w := call(t, s, "GET", "/v1/indexes", "", nil); w.Code != 200 {
 		t.Fatalf("list during drain: %d", w.Code)
 	}
-	if w := call(t, s, "GET", "/debug/vars", "", nil); w.Code != 200 {
-		t.Fatalf("debug vars during drain: %d", w.Code)
+	if w := call(t, s, "GET", "/metrics", "", nil); w.Code != 200 {
+		t.Fatalf("metrics during drain: %d", w.Code)
 	}
 }
 
@@ -353,9 +349,6 @@ func TestServerConcurrentSearchNoDrops(t *testing.T) {
 	if stats.Queries != goroutines*4 {
 		t.Fatalf("served %d queries, want %d (dropped requests)", stats.Queries, goroutines*4)
 	}
-	if stats.Batches >= stats.Queries {
-		t.Fatalf("%d batches for %d queries: coalescer never batched", stats.Batches, stats.Queries)
-	}
 }
 
 func TestServerMetricsEndpoint(t *testing.T) {
@@ -366,50 +359,82 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 	call(t, s, "GET", "/healthz", "", nil)
 
-	var vars struct {
-		Inflight  int64                   `json:"inflight"`
-		Endpoints map[string]endpointVars `json:"endpoints"`
+	w := call(t, s, "GET", "/metrics", "", nil)
+	if w.Code != 200 {
+		t.Fatalf("/metrics: %d", w.Code)
 	}
-	if w := call(t, s, "GET", "/debug/vars", "", &vars); w.Code != 200 {
-		t.Fatalf("debug vars: %d", w.Code)
+	families, err := client.ParseMetrics(strings.NewReader(w.Body.String()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	search, ok := vars.Endpoints["search"]
-	if !ok || search.Count != 3 {
-		t.Fatalf("search endpoint vars %+v (present %v)", search, ok)
+	// sample returns the value of the named series with the given
+	// endpoint label (any label set when endpoint is empty).
+	sample := func(family, series, endpoint string) float64 {
+		t.Helper()
+		f, ok := client.Find(families, family)
+		if !ok {
+			t.Fatalf("family %s missing", family)
+		}
+		for _, sm := range f.Samples {
+			if sm.Name == series && sm.Labels["endpoint"] == endpoint {
+				return sm.Value
+			}
+		}
+		t.Fatalf("%s{endpoint=%q} missing", series, endpoint)
+		return 0
 	}
-	if search.P50Ms <= 0 || search.P99Ms < search.P50Ms {
-		t.Fatalf("implausible quantiles %+v", search)
+	const hist = "gkserved_request_duration_seconds"
+	if n := sample(hist, hist+"_count", "search"); n != 3 {
+		t.Fatalf("search count %v, want 3", n)
 	}
-	if vars.Endpoints["healthz"].Count != 1 {
-		t.Fatalf("healthz count %d, want 1", vars.Endpoints["healthz"].Count)
+	if sum := sample(hist, hist+"_sum", "search"); sum <= 0 {
+		t.Fatalf("search latency sum %v, want > 0", sum)
+	}
+	if n := sample(hist, hist+"_count", "healthz"); n != 1 {
+		t.Fatalf("healthz count %v, want 1", n)
 	}
 	// The scrape itself is in flight while it runs.
-	if vars.Inflight < 1 {
-		t.Fatalf("inflight gauge %d, want >= 1", vars.Inflight)
+	if n := sample("gkserved_inflight_requests", "gkserved_inflight_requests", ""); n < 1 {
+		t.Fatalf("inflight gauge %v, want >= 1", n)
 	}
 }
 
 func TestServerSearchContextCancelled(t *testing.T) {
-	idx, queries := sharedIndex(t)
-	// A giant window and no size trigger: the only way out is the request
+	s := newTestServer(t)
+	_, queries := sharedIndex(t)
+	// Hold the search running: the only way out for the request is its
 	// context, which must map to 408.
-	s := New(Config{Window: time.Hour, MaxBatch: 1 << 20})
-	if err := s.RegisterIndex("sift", idx); err != nil {
-		t.Fatal(err)
-	}
+	h := holdEntry(t, s, "sift")
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest("POST", "/v1/indexes/sift/search",
 		bytes.NewReader([]byte(searchBody(queries.Row(0), 5, 32)))).WithContext(ctx)
 	w := httptest.NewRecorder()
+	done := make(chan struct{})
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
+		s.Handler().ServeHTTP(w, req)
+		close(done)
 	}()
-	s.Handler().ServeHTTP(w, req)
+	h.awaitRunning(t, 1)
+	cancel()
+	<-done
 	if w.Code != http.StatusRequestTimeout {
 		t.Fatalf("cancelled search: %d %s, want 408", w.Code, w.Body.String())
 	}
-	s.BeginShutdown() // release the hour-long batch for a clean test exit
+	h.release()
+}
+
+// holdEntry makes the named index's coalescer run every search through a
+// held runner (see heldRunner) and returns it. Call it before sending
+// traffic.
+func holdEntry(t *testing.T, s *Server, name string) *heldRunner {
+	t.Helper()
+	e, ok := s.reg.get(name)
+	if !ok {
+		t.Fatalf("index %q not registered", name)
+	}
+	h := holdRunner(e.coal.get)
+	e.coal.get = h.get
+	return h
 }
 
 // A sharded index must serve end-to-end exactly like a monolithic one —
@@ -429,7 +454,7 @@ func TestServerServesShardedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(Config{Window: time.Millisecond, MaxBatch: 8})
+	s := New(Config{})
 	if err := s.RegisterFile("sharded", path); err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +527,7 @@ func TestServerServesRoutedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Window: time.Millisecond, MaxBatch: 8})
+	s := New(Config{})
 	if err := s.RegisterIndex("routed", idx); err != nil {
 		t.Fatal(err)
 	}
